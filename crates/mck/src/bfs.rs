@@ -1,10 +1,22 @@
 //! Breadth-first invariant checking with shortest-counterexample
 //! reconstruction.
+//!
+//! The [`Checker`]'s store keeps each distinct state once, in a
+//! `Vec<State>` indexed by id, and finds ids through the key-less
+//! fingerprinted index it shares with [`crate::packed`] (the
+//! crate-private `store` module), hashing states with a fixed, unkeyed
+//! multiply-rotate hasher. A state is expanded by reference: its
+//! successors are buffered as `(action index, state)` and interned
+//! afterwards, and each fresh state links to its parent by `(parent id,
+//! action index)`, the action being re-derived when a counterexample is
+//! rebuilt.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::hash::Hash;
 use std::time::{Duration, Instant};
 
 use crate::model::Model;
+use crate::store::{IdIndex, Links, StateHasher};
 use crate::trace::Path;
 
 /// Exploration statistics reported by every check.
@@ -140,54 +152,37 @@ impl<'a, M: Model> Checker<'a, M> {
         let start = Instant::now();
         let mut stats = Stats::default();
 
-        // Interned states: id -> state, plus parent links for trace rebuild.
+        // Each state is stored once, at its id; the index maps a state
+        // back to its id and the links rebuild the path to it.
         let mut states: Vec<M::State> = Vec::new();
-        let mut index: HashMap<M::State, usize> = HashMap::new();
-        let mut parent: Vec<Option<(usize, M::Action)>> = Vec::new();
-        let mut depth_of: Vec<usize> = Vec::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-
-        let intern = |s: M::State,
-                      par: Option<(usize, M::Action)>,
-                      d: usize,
-                      states: &mut Vec<M::State>,
-                      index: &mut HashMap<M::State, usize>,
-                      parent: &mut Vec<Option<(usize, M::Action)>>,
-                      depth_of: &mut Vec<usize>| {
-            if let Some(&id) = index.get(&s) {
-                return (id, false);
-            }
-            let id = states.len();
-            index.insert(s.clone(), id);
-            states.push(s);
-            parent.push(par);
-            depth_of.push(d);
-            (id, true)
+        let mut index = IdIndex::new();
+        let mut links = Links::default();
+        // Frontier of `(id, depth)`.
+        let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
+        let found = |links: &Links, states: &[M::State], id: usize, stats: Stats| {
+            let path = links.path(self.model, id, |i| states[i].clone());
+            Reachability::Found { path, stats }
         };
 
         for init in self.model.initial_states() {
-            let (id, fresh) = intern(
-                init,
-                None,
-                0,
-                &mut states,
-                &mut index,
-                &mut parent,
-                &mut depth_of,
-            );
+            let (id, fresh) = intern(&mut index, &states, &init);
             if fresh {
+                states.push(init);
+                links.root();
                 stats.states += 1;
                 if goal(&states[id]) {
-                    let path = rebuild_path::<M>(&states, &parent, id);
-                    return Reachability::Found { path, stats };
+                    return found(&links, &states, id, stats);
                 }
-                queue.push_back(id);
+                queue.push_back((id, 0));
             }
         }
 
         let mut actions = Vec::new();
-        while let Some(id) = queue.pop_front() {
-            let d = depth_of[id];
+        // Successors of the state being expanded, as `(action index,
+        // state)`: generated from a borrow of the stored state, then
+        // interned.
+        let mut succ: Vec<(usize, M::State)> = Vec::new();
+        while let Some((id, d)) = queue.pop_front() {
             if d >= self.max_depth {
                 stats.truncated = true;
                 continue;
@@ -202,35 +197,29 @@ impl<'a, M: Model> Checker<'a, M> {
                     break;
                 }
             }
+            let cur = &states[id];
             actions.clear();
-            let cur = states[id].clone();
-            self.model.actions(&cur, &mut actions);
-            let acts = std::mem::take(&mut actions);
-            for a in &acts {
-                let Some(next) = self.model.next_state(&cur, a) else {
-                    continue;
-                };
+            self.model.actions(cur, &mut actions);
+            succ.extend(
+                actions
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(k, a)| Some((k, self.model.next_state(cur, a)?))),
+            );
+            for (k, next) in succ.drain(..) {
                 stats.transitions += 1;
-                let (nid, fresh) = intern(
-                    next,
-                    Some((id, a.clone())),
-                    d + 1,
-                    &mut states,
-                    &mut index,
-                    &mut parent,
-                    &mut depth_of,
-                );
+                let (nid, fresh) = intern(&mut index, &states, &next);
                 if fresh {
+                    states.push(next);
+                    links.child(id, k);
                     stats.states += 1;
                     stats.depth = stats.depth.max(d + 1);
                     if goal(&states[nid]) {
-                        let path = rebuild_path::<M>(&states, &parent, nid);
-                        return Reachability::Found { path, stats };
+                        return found(&links, &states, nid, stats);
                     }
-                    queue.push_back(nid);
+                    queue.push_back((nid, d + 1));
                 }
             }
-            actions = acts;
         }
 
         if stats.truncated {
@@ -301,18 +290,14 @@ impl<M: Model> Reachability<M> {
     }
 }
 
-fn rebuild_path<M: Model>(
-    states: &[M::State],
-    parent: &[Option<(usize, M::Action)>],
-    mut id: usize,
-) -> Path<M> {
-    let mut rev: Vec<(M::Action, M::State)> = Vec::new();
-    while let Some((pid, a)) = &parent[id] {
-        rev.push((a.clone(), states[id].clone()));
-        id = *pid;
-    }
-    rev.reverse();
-    Path::from_steps(states[id].clone(), rev)
+/// The id of `state` in `states`, or the next id if it is fresh (the
+/// caller then pushes it).
+fn intern<S: Eq + Hash>(index: &mut IdIndex, states: &[S], state: &S) -> (usize, bool) {
+    index.intern(
+        StateHasher::hash(state),
+        |id| states[id] == *state,
+        |id| StateHasher::hash(&states[id]),
+    )
 }
 
 #[cfg(test)]
@@ -404,5 +389,135 @@ mod tests {
         let r = Checker::new(&Grid).check_reachability(|s| s.0 > 3);
         assert!(r.unreachable());
         assert_eq!(r.stats().states, 16);
+    }
+
+    /// A state whose `Hash` writes a constant: every state has the same
+    /// slot and fingerprint, so every probe runs to equality checks.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct Same(u32);
+    impl Hash for Same {
+        fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+            0u8.hash(h);
+        }
+    }
+
+    /// `N` states on a ring with a chord; the chord is disabled on odd
+    /// states.
+    struct Colliding;
+    const N: u32 = 6_000;
+    impl Model for Colliding {
+        type State = Same;
+        type Action = u8;
+        fn initial_states(&self) -> Vec<Same> {
+            vec![Same(0)]
+        }
+        fn actions(&self, _: &Same, out: &mut Vec<u8>) {
+            out.extend([0, 1]);
+        }
+        fn next_state(&self, s: &Same, a: &u8) -> Option<Same> {
+            match a {
+                0 => Some(Same((s.0 + 1) % N)),
+                _ => s.0.is_multiple_of(2).then_some(Same((s.0 * 7 + 3) % N)),
+            }
+        }
+    }
+
+    /// Breadth-first search over `std::collections::HashMap`: state and
+    /// transition counts, and the shortest path to `goal` as the states
+    /// and actions along it (first-found parents, like the checker).
+    fn reference<M: Model>(m: &M, goal: &M::State) -> (usize, usize, Vec<M::State>) {
+        let mut parent: std::collections::HashMap<M::State, Option<M::State>> =
+            std::collections::HashMap::new();
+        let mut queue = VecDeque::new();
+        let mut transitions = 0;
+        for s in m.initial_states() {
+            if !parent.contains_key(&s) {
+                parent.insert(s.clone(), None);
+                queue.push_back(s);
+            }
+        }
+        while let Some(s) = queue.pop_front() {
+            let mut acts = Vec::new();
+            m.actions(&s, &mut acts);
+            for a in &acts {
+                let Some(t) = m.next_state(&s, a) else {
+                    continue;
+                };
+                transitions += 1;
+                if !parent.contains_key(&t) {
+                    parent.insert(t.clone(), Some(s.clone()));
+                    queue.push_back(t);
+                }
+            }
+        }
+        let mut path = vec![goal.clone()];
+        while let Some(Some(p)) = parent.get(path.last().unwrap()) {
+            path.push(p.clone());
+        }
+        path.reverse();
+        (parent.len(), transitions, path)
+    }
+
+    #[test]
+    fn constant_hash_matches_a_reference_bfs_across_index_growths() {
+        // 6,000 states pass the 0.7 load factor of 4,096 and 8,192
+        // slots: two growths, each rehashing every id into one run.
+        let goal = Same(N - 1);
+        let (states, transitions, witness) = reference(&Colliding, &goal);
+        assert_eq!(states, N as usize);
+        let all = Checker::new(&Colliding).check_invariant(|_| true);
+        assert!(all.holds());
+        assert_eq!(all.stats().states, states);
+        assert_eq!(all.stats().transitions, transitions);
+        let path = Checker::new(&Colliding)
+            .find_state(|s| *s == goal)
+            .expect("reachable");
+        assert_eq!(path.states(), witness);
+    }
+
+    /// Moves on a 5×5 board. Four actions are listed in every state and
+    /// those leaving the board are disabled, so an action's index in the
+    /// list differs from its successor's.
+    struct Board;
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    enum Move {
+        Right(u8),
+        Up(u8),
+        Back,
+        Diag,
+    }
+    impl Model for Board {
+        type State = (u8, u8);
+        type Action = Move;
+        fn initial_states(&self) -> Vec<(u8, u8)> {
+            vec![(0, 0)]
+        }
+        fn actions(&self, _: &(u8, u8), out: &mut Vec<Move>) {
+            out.extend([Move::Back, Move::Right(2), Move::Up(1), Move::Diag]);
+        }
+        fn next_state(&self, s: &(u8, u8), a: &Move) -> Option<(u8, u8)> {
+            let next = match a {
+                Move::Right(k) => (s.0 + k, s.1),
+                Move::Up(k) => (s.0, s.1 + k),
+                Move::Back => (s.0.checked_sub(1)?, s.1),
+                Move::Diag => (s.0 + 1, s.1 + 1),
+            };
+            (next.0 < 5 && next.1 < 5).then_some(next)
+        }
+    }
+
+    #[test]
+    fn counterexample_actions_replay_through_the_model() {
+        let out = Checker::new(&Board).check_invariant(|s| *s != (3, 4));
+        let path = out.counterexample().expect("reachable");
+        assert_eq!(path.len(), 4);
+        let mut s = *path.initial_state();
+        for (a, expect) in path.steps() {
+            s = Board.next_state(&s, a).expect("rebuilt action is enabled");
+            assert_eq!(&s, expect);
+        }
+        assert_eq!(s, (3, 4));
+        let (_, _, witness) = reference(&Board, &(3, 4));
+        assert_eq!(path.states(), witness);
     }
 }

@@ -11,7 +11,14 @@
 //! * [`Model`] — describe a transition system: initial states, enabled
 //!   actions per state, successor per action.
 //! * [`bfs::Checker`] — breadth-first reachability / invariant checking with
-//!   shortest counterexample reconstruction.
+//!   shortest counterexample reconstruction. Each distinct state is stored
+//!   once, in an id-indexed vector; a key-less open-addressing index of
+//!   16-bit fingerprints, hashed with a fixed (unkeyed) hasher, maps states
+//!   back to ids, and parent links are `(parent id, action index)` pairs.
+//! * [`packed::PackedChecker`] — the same exploration over bit-packed
+//!   state records in a byte arena, sharing the checker's id index and
+//!   parent links; [`symmetry`] and [`por`] reduce the state space either
+//!   checker explores.
 //! * [`dfs`] — depth-first and iterative-deepening exploration for
 //!   memory-constrained runs, plus deadlock detection.
 //! * [`parallel`] — frontier-parallel BFS over all cores (scoped threads).
@@ -61,6 +68,7 @@ pub mod parallel;
 pub mod por;
 pub mod props;
 pub mod sim;
+mod store;
 pub mod symmetry;
 pub mod timed;
 pub mod trace;

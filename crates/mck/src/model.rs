@@ -11,8 +11,15 @@ use std::hash::Hash;
 /// an action that turns out to be disabled — this keeps action enumeration
 /// allowed to over-approximate).
 ///
-/// States must be cheap to clone and hashable; the checkers deduplicate
-/// states by hash+equality.
+/// States must be hashable; the checkers deduplicate states by
+/// hash+equality.
+///
+/// [`actions`](Model::actions) must be deterministic: the same state
+/// must always yield the same actions in the same order.
+/// [`Checker`](crate::bfs::Checker) and
+/// [`PackedChecker`](crate::packed::PackedChecker) record only an
+/// action's index in its state's list, and re-enumerate the parent's
+/// actions to rebuild a counterexample.
 ///
 /// # Example
 ///

@@ -1,20 +1,18 @@
 //! Bit-packed explicit-state exploration: the frontier and the
 //! visited-state set hold *encoded* states, at widths a static range
-//! analysis has proven sufficient, instead of hash-map keys of the full
-//! `State` value.
+//! analysis has proven sufficient, instead of full `State` values.
 //!
-//! The plain [`crate::bfs::Checker`] stores every distinct state twice
-//! (once in the intern vector, once as a `HashMap` key) plus a parent
-//! link with a cloned action — dozens of heap allocations per state for
-//! a model like the heartbeat composition whose states own vectors.
-//! [`PackedChecker`] replaces all of that with four flat buffers:
+//! The plain [`crate::bfs::Checker`] already stores every distinct
+//! state once, but as a full `State` value — for the heartbeat
+//! composition, a struct owning several heap vectors. [`PackedChecker`]
+//! keeps each state as a few bytes instead, in four flat buffers:
 //!
 //! * an **arena** of concatenated bit-packed records (one per state,
 //!   variable length, written by a [`StateCodec`]),
 //! * an **offset** vector locating each record,
-//! * an open-addressing **hash index** over the records (no stored
-//!   keys: a 16-bit fingerprint per slot, byte-compare on candidate
-//!   hits),
+//! * the open-addressing **id index** both checkers share (no stored
+//!   keys: a 16-bit fingerprint per slot, byte-compare of the record on
+//!   a fingerprint hit; records are hashed with FNV-1a),
 //! * a **parent-link** vector of `(parent id, action index)` pairs for
 //!   counterexample reconstruction — the action itself is re-derived by
 //!   re-enumerating the parent's actions, so nothing per-transition is
@@ -36,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use crate::bfs::{CheckOutcome, Stats};
 use crate::model::Model;
-use crate::trace::Path;
+use crate::store::{IdIndex, Links};
 
 /// LSB-first bit writer over a reusable byte buffer.
 #[derive(Clone, Debug, Default)]
@@ -154,16 +152,12 @@ pub struct PackedRun<M: Model> {
     pub mem: PackedMem,
 }
 
-/// Packed-state store: arena + offsets + open-addressing index.
+/// Packed-state store: arena + offsets + the shared id index.
 struct Store {
     arena: Vec<u8>,
     offsets: Vec<u32>,
-    /// `0` = empty; otherwise `((id + 1) << 16) | fingerprint`.
-    slots: Vec<u64>,
-    mask: usize,
+    index: IdIndex,
 }
-
-const FP_MASK: u64 = 0xFFFF;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -174,78 +168,43 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Record `id` of an arena.
+fn record<'s>(arena: &'s [u8], offsets: &[u32], id: usize) -> &'s [u8] {
+    let start = offsets[id] as usize;
+    let end = offsets.get(id + 1).map_or(arena.len(), |&o| o as usize);
+    &arena[start..end]
+}
+
 impl Store {
     fn new() -> Self {
-        let cap = 1 << 12;
         Self {
             arena: Vec::new(),
             offsets: Vec::new(),
-            slots: vec![0; cap],
-            mask: cap - 1,
+            index: IdIndex::new(),
         }
-    }
-
-    fn len(&self) -> usize {
-        self.offsets.len()
     }
 
     fn record(&self, id: usize) -> &[u8] {
-        let start = self.offsets[id] as usize;
-        let end = self
-            .offsets
-            .get(id + 1)
-            .map(|&o| o as usize)
-            .unwrap_or(self.arena.len());
-        &self.arena[start..end]
-    }
-
-    fn grow(&mut self) {
-        let cap = self.slots.len() * 2;
-        self.mask = cap - 1;
-        self.slots = vec![0; cap];
-        for id in 0..self.len() {
-            let h = fnv1a(self.record(id));
-            let mut i = h as usize & self.mask;
-            while self.slots[i] != 0 {
-                i = (i + 1) & self.mask;
-            }
-            self.slots[i] = ((id as u64 + 1) << 16) | (h & FP_MASK);
-        }
+        record(&self.arena, &self.offsets, id)
     }
 
     /// Intern a packed record; returns `(id, freshly inserted)`.
     fn intern(&mut self, bytes: &[u8]) -> (usize, bool) {
-        // Keep the load factor at or below 0.7.
-        if self.len() * 10 >= self.slots.len() * 7 {
-            self.grow();
+        let (arena, offsets) = (&self.arena, &self.offsets);
+        let (id, fresh) = self.index.intern(
+            fnv1a(bytes),
+            |id| record(arena, offsets, id) == bytes,
+            |id| fnv1a(record(arena, offsets, id)),
+        );
+        if fresh {
+            assert!(
+                self.arena.len() + bytes.len() <= u32::MAX as usize,
+                "packed arena exceeded 4 GiB"
+            );
+            self.offsets.push(self.arena.len() as u32);
+            self.arena.extend_from_slice(bytes);
         }
-        let h = fnv1a(bytes);
-        let mut i = h as usize & self.mask;
-        loop {
-            let slot = self.slots[i];
-            if slot == 0 {
-                let id = self.offsets.len();
-                assert!(
-                    self.arena.len() + bytes.len() <= u32::MAX as usize,
-                    "packed arena exceeded 4 GiB"
-                );
-                self.offsets.push(self.arena.len() as u32);
-                self.arena.extend_from_slice(bytes);
-                self.slots[i] = ((id as u64 + 1) << 16) | (h & FP_MASK);
-                return (id, true);
-            }
-            if slot & FP_MASK == h & FP_MASK {
-                let id = ((slot >> 16) - 1) as usize;
-                if self.record(id) == bytes {
-                    return (id, false);
-                }
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn index_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<u64>()
+        (id, fresh)
     }
 }
 
@@ -319,24 +278,6 @@ impl<'a, M: Model, C: StateCodec<M::State>> PackedChecker<'a, M, C> {
         self.codec.decode(&mut r)
     }
 
-    /// Rebuild the path to `id` by decoding ancestors and re-deriving
-    /// each step's action from its recorded index.
-    fn rebuild(&self, store: &Store, links: &[u64], mut id: usize) -> Path<M> {
-        let mut rev: Vec<(M::Action, M::State)> = Vec::new();
-        while links[id] != 0 {
-            let parent = ((links[id] >> 16) - 1) as usize;
-            let action_idx = (links[id] & 0xFFFF) as usize;
-            let parent_state = self.decode(store, parent);
-            let mut acts = Vec::new();
-            self.model.actions(&parent_state, &mut acts);
-            let action = acts.swap_remove(action_idx);
-            rev.push((action, self.decode(store, id)));
-            id = parent;
-        }
-        rev.reverse();
-        Path::from_steps(self.decode(store, id), rev)
-    }
-
     /// Check that `invariant` holds on every reachable state.
     pub fn check_invariant<F>(&self, invariant: F) -> PackedRun<M>
     where
@@ -345,8 +286,7 @@ impl<'a, M: Model, C: StateCodec<M::State>> PackedChecker<'a, M, C> {
         let start = Instant::now();
         let mut stats = Stats::default();
         let mut store = Store::new();
-        // `0` = root, else `((parent + 1) << 16) | action index`.
-        let mut links: Vec<u64> = Vec::new();
+        let mut links = Links::default();
         // Frontier of `(id, depth)`; pushed/popped at the back in DFS
         // mode, popped at the front in BFS mode.
         let mut frontier: std::collections::VecDeque<(u32, u32)> =
@@ -359,7 +299,7 @@ impl<'a, M: Model, C: StateCodec<M::State>> PackedChecker<'a, M, C> {
             self.encode(&init, &mut scratch);
             let (id, fresh) = store.intern(scratch.bytes());
             if fresh {
-                links.push(0);
+                links.root();
                 stats.states += 1;
                 if !invariant(&init) {
                     violation = Some(id);
@@ -397,10 +337,6 @@ impl<'a, M: Model, C: StateCodec<M::State>> PackedChecker<'a, M, C> {
             let cur = self.decode(&store, id as usize);
             actions.clear();
             self.model.actions(&cur, &mut actions);
-            assert!(
-                actions.len() <= 0xFFFF,
-                "more than 65535 actions in one state"
-            );
             for (k, a) in actions.iter().enumerate() {
                 let Some(next) = self.model.next_state(&cur, a) else {
                     continue;
@@ -409,7 +345,7 @@ impl<'a, M: Model, C: StateCodec<M::State>> PackedChecker<'a, M, C> {
                 self.encode(&next, &mut scratch);
                 let (nid, fresh) = store.intern(scratch.bytes());
                 if fresh {
-                    links.push(((id as u64 + 1) << 16) | k as u64);
+                    links.child(id as usize, k);
                     stats.states += 1;
                     stats.depth = stats.depth.max(d + 1);
                     if !invariant(&next) {
@@ -424,13 +360,13 @@ impl<'a, M: Model, C: StateCodec<M::State>> PackedChecker<'a, M, C> {
 
         let mem = PackedMem {
             arena_bytes: store.arena.len(),
-            index_bytes: store.index_bytes(),
-            links_bytes: links.len() * 8 + store.offsets.len() * 4,
+            index_bytes: store.index.bytes(),
+            links_bytes: links.bytes() + store.offsets.len() * 4,
             frontier_bytes: peak_frontier * std::mem::size_of::<(u32, u32)>(),
         };
         let outcome = match violation {
             Some(id) => CheckOutcome::Violated {
-                path: self.rebuild(&store, &links, id),
+                path: links.path(self.model, id, |i| self.decode(&store, i)),
                 stats,
             },
             None if stats.truncated => CheckOutcome::Incomplete(stats),

@@ -1,11 +1,14 @@
-//! Integration: the three exploration engines (sequential BFS, parallel
-//! BFS, DFS) and the random walker agree with each other on the heartbeat
-//! models, and the LTS pipeline is self-consistent.
+//! Integration: the exploration engines (sequential BFS on the hashed
+//! and on the packed store, parallel BFS, DFS) and the random walker
+//! agree with each other on the heartbeat models, and the LTS pipeline is
+//! self-consistent.
 
 use accelerated_heartbeat::core::{FixLevel, Params, Variant};
 use accelerated_heartbeat::verify::requirements::{build_model, error_predicate, Requirement};
 use accelerated_heartbeat::verify::solo::{p0_raw_lts, p0_reduced_lts};
+use accelerated_heartbeat::verify::HbCodec;
 use mck::dfs::{Dfs, DfsOutcome};
+use mck::packed::PackedChecker;
 use mck::parallel::ParallelChecker;
 use mck::sim::random_walk;
 use mck::{Checker, Model};
@@ -59,6 +62,55 @@ fn engines_agree_on_verdicts_with_faults() {
     assert!(par.counterexample().is_some());
     // BFS counterexamples are shortest.
     assert!(seq.as_ref().unwrap().len() <= dfs.path().unwrap().len());
+}
+
+#[test]
+fn hashed_and_packed_stores_explore_identically() {
+    // The hashed `Checker` and the unreduced `PackedChecker` share one id
+    // index and BFS order, so every R1–R3 cell must give the same stats
+    // and the same shortest counterexample on both. R1 keeps loss and
+    // crashes, so its static full-fix, expanding and dynamic spaces at
+    // n = 2 hold 1–3 M states; cells past `CAP` states compare their
+    // first `CAP` states (both stop at the same point of the same BFS).
+    const CAP: usize = 50_000;
+    let params = Params::new(2, 4).unwrap();
+    let mut prefixes = Vec::new();
+    for variant in Variant::ALL {
+        let ns: &[usize] = if variant.is_two_process() {
+            &[1]
+        } else {
+            &[1, 2]
+        };
+        for &n in ns {
+            for fix in [FixLevel::Original, FixLevel::Full] {
+                for req in Requirement::ALL {
+                    let model = build_model(variant, params, fix, n, req);
+                    let pred = |s: &_| !error_predicate(&model, req)(s);
+                    let hashed = Checker::new(&model).max_states(CAP).check_invariant(pred);
+                    let packed = PackedChecker::new(&model, HbCodec::for_model(&model))
+                        .max_states(CAP)
+                        .check_invariant(pred)
+                        .outcome;
+                    let cell = format!("{variant}/{fix}/n={n}/{req:?}");
+                    assert_eq!(hashed.stats(), packed.stats(), "{cell}");
+                    assert_eq!(hashed.counterexample(), packed.counterexample(), "{cell}");
+                    if hashed.stats().truncated {
+                        prefixes.push(cell);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        prefixes,
+        [
+            "static/full-fix/n=2/R1",
+            "expanding/original/n=2/R1",
+            "expanding/full-fix/n=2/R1",
+            "dynamic/original/n=2/R1",
+            "dynamic/full-fix/n=2/R1",
+        ]
+    );
 }
 
 #[test]
