@@ -116,10 +116,11 @@ pub fn run_plan_monitored(plan: &FaultPlan, backend: Backend) -> RunSummary {
     if plan.proto.membership {
         return member::run_plan_member_monitored(plan, backend).summary;
     }
-    // The simulator is single-threaded, so the monitor rides as an
-    // *owned* tap — no mutex on the per-event path. The live backend
-    // merges event streams from many node threads and keeps the shared,
-    // locked tap.
+    // The simulator has one event sink, so the monitor rides as an
+    // *owned* tap — no mutex on the per-event path. The live backend is
+    // single-threaded too, but its events come from several sinks (one
+    // per node, plus the fault pipeline's drop site), so the monitor
+    // rides as a shared tap that every sink holds a clone of.
     match backend {
         Backend::Sim => {
             let monitor = MonitorSet::new(

@@ -14,7 +14,11 @@
 //! **per-node clock drift**. Each node is polled at the local tick its
 //! own [`SkewedClock`] reads, while the network and the observer stay on
 //! true time — a fast node fires watchdogs early, a slow one late,
-//! exactly the failure mode the corrected bounds must absorb.
+//! exactly the failure mode the corrected bounds must absorb. The
+//! cluster runs on `hb-net`'s event-driven stepping loop
+//! ([`LoopbackCluster`]): inside it the decorator reads true time from
+//! the cluster's clock, and held frames are released once per tick by
+//! the loop rather than on every transport call.
 
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -24,18 +28,19 @@ use hb_core::coordinator::CoordSpec;
 use hb_core::events::SharedTap;
 use hb_core::responder::RespSpec;
 use hb_core::trace::Event;
-use hb_core::{Pid, Status};
-use hb_net::loopback::{Faults, LoopbackEndpoint, LoopbackNet};
+use hb_core::Pid;
+use hb_net::cluster::{Harness, LoopbackCluster};
+use hb_net::loopback::{Faults, LoopbackEndpoint, LoopbackNet, NetStats};
 use hb_net::node::NodeRuntime;
 use hb_net::transport::{Recv, Transport};
-use hb_net::wire::{Command, Frame};
+use hb_net::wire::Frame;
 use hb_net::{SkewedClock, TimeSource, VirtualClock};
 use hb_sim::channel::Time;
 use hb_sim::schema::RunSummary;
 use hb_sim::SendFate;
 
 use crate::pipeline::FaultPipeline;
-use crate::plan::{FaultPlan, FaultSpec};
+use crate::plan::{FaultPlan, FaultSpec, ProtoSpec};
 
 /// A frame held back by a reorder/delay-spike fate, awaiting release.
 #[derive(Clone, Copy, Debug)]
@@ -49,10 +54,6 @@ struct Held {
 /// Pipeline state shared by every [`ChaosTransport`] of one run.
 pub struct ChaosNet {
     pipeline: FaultPipeline,
-    /// True cluster time, set by the harness each tick. `None` outside a
-    /// cluster (standalone decorator use): the caller's own tick is
-    /// trusted instead.
-    true_now: Option<Time>,
     held: Vec<Held>,
     /// Logical heartbeat sends (one per send call, as in the simulator).
     sent: u64,
@@ -71,7 +72,6 @@ impl std::fmt::Debug for ChaosNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChaosNet")
             .field("pipeline", &self.pipeline)
-            .field("true_now", &self.true_now)
             .field("held", &self.held.len())
             .field("sent", &self.sent)
             .field("lost", &self.lost)
@@ -85,35 +85,20 @@ impl ChaosNet {
     pub fn new(pipeline: FaultPipeline) -> Arc<Mutex<ChaosNet>> {
         Arc::new(Mutex::new(ChaosNet {
             pipeline,
-            true_now: None,
             held: Vec::new(),
             sent: 0,
             lost: 0,
             tap: None,
         }))
     }
-}
 
-/// A fault-injecting [`Transport`] decorator (one per node, sharing the
-/// run's [`ChaosNet`]).
-pub struct ChaosTransport<T> {
-    inner: T,
-    shared: Arc<Mutex<ChaosNet>>,
-}
-
-impl<T: Transport> ChaosTransport<T> {
-    /// Wrap `inner`, injecting faults from the shared pipeline.
-    pub fn new(inner: T, shared: Arc<Mutex<ChaosNet>>) -> Self {
-        ChaosTransport { inner, shared }
-    }
-
-    /// Release every held frame due at `now` into the wrapped transport.
-    fn flush(&mut self, now: Time, st: &mut ChaosNet) -> io::Result<()> {
+    /// Release every held frame due at `now` into `into`.
+    fn release(&mut self, now: Time, into: &mut impl Transport) -> io::Result<()> {
         let mut i = 0;
-        while i < st.held.len() {
-            if st.held[i].due <= now {
-                let h = st.held.swap_remove(i);
-                self.inner.send(now, h.dst, &h.frame, h.budget)?;
+        while i < self.held.len() {
+            if self.held[i].due <= now {
+                let h = self.held.swap_remove(i);
+                into.send(now, h.dst, &h.frame, h.budget)?;
             } else {
                 i += 1;
             }
@@ -122,13 +107,40 @@ impl<T: Transport> ChaosTransport<T> {
     }
 }
 
+/// A fault-injecting [`Transport`] decorator (one per node, sharing the
+/// run's [`ChaosNet`]).
+pub struct ChaosTransport<T> {
+    inner: T,
+    shared: Arc<Mutex<ChaosNet>>,
+    /// True time inside a [`ChaosCluster`], whose stepping loop releases
+    /// held frames once per tick. `None` for a standalone decorator,
+    /// which trusts the caller's tick and releases held frames on every
+    /// call.
+    clock: Option<VirtualClock>,
+}
+
+impl<T: Transport> ChaosTransport<T> {
+    /// Wrap `inner`, injecting faults from the shared pipeline.
+    pub fn new(inner: T, shared: Arc<Mutex<ChaosNet>>) -> Self {
+        ChaosTransport {
+            inner,
+            shared,
+            clock: None,
+        }
+    }
+}
+
 impl<T: Transport> Transport for ChaosTransport<T> {
     fn send(&mut self, now: Time, dst: Pid, frame: &Frame, budget: u32) -> io::Result<()> {
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.lock().expect("chaos state poisoned");
+        let mut st = self.shared.lock().expect("chaos state poisoned");
         // Nodes may live on drifted local clocks; faults act on true time.
-        let now = st.true_now.unwrap_or(now);
-        self.flush(now, &mut st)?;
+        let now = match &self.clock {
+            Some(clock) => clock.now(),
+            None => {
+                st.release(now, &mut self.inner)?;
+                now
+            }
+        };
         if matches!(frame, Frame::Control { .. }) {
             return self.inner.send(now, dst, frame, budget);
         }
@@ -169,11 +181,14 @@ impl<T: Transport> Transport for ChaosTransport<T> {
     }
 
     fn try_recv(&mut self, now: Time) -> io::Result<Option<Recv>> {
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.lock().expect("chaos state poisoned");
-        let now = st.true_now.unwrap_or(now);
-        self.flush(now, &mut st)?;
-        drop(st);
+        let now = match &self.clock {
+            Some(clock) => clock.now(),
+            None => {
+                let mut st = self.shared.lock().expect("chaos state poisoned");
+                st.release(now, &mut self.inner)?;
+                now
+            }
+        };
         self.inner.try_recv(now)
     }
 
@@ -182,35 +197,64 @@ impl<T: Transport> Transport for ChaosTransport<T> {
     }
 }
 
+/// The fault-injecting harness of a [`ChaosCluster`]: every node's
+/// loopback endpoint wrapped in a [`ChaosTransport`] reading the
+/// cluster's clock.
+struct Chaos {
+    proto: ProtoSpec,
+    shared: Arc<Mutex<ChaosNet>>,
+    clock: VirtualClock,
+}
+
+impl Chaos {
+    fn transport(&self, endpoint: LoopbackEndpoint) -> ChaosTransport<LoopbackEndpoint> {
+        ChaosTransport {
+            inner: endpoint,
+            shared: Arc::clone(&self.shared),
+            clock: Some(self.clock.clone()),
+        }
+    }
+}
+
+impl Harness for Chaos {
+    type Transport = ChaosTransport<LoopbackEndpoint>;
+
+    fn coordinator(&mut self, endpoint: LoopbackEndpoint) -> NodeRuntime<Self::Transport> {
+        let p = &self.proto;
+        let spec = CoordSpec::new(p.variant, p.params, p.n, p.fix);
+        NodeRuntime::coordinator(spec, self.transport(endpoint))
+    }
+
+    fn participant(
+        &mut self,
+        pid: Pid,
+        endpoint: LoopbackEndpoint,
+    ) -> NodeRuntime<Self::Transport> {
+        let p = &self.proto;
+        let spec = RespSpec::new(p.variant, p.params, p.fix);
+        NodeRuntime::participant(pid, spec, self.transport(endpoint))
+    }
+
+    fn release(&mut self, now: Time, via: &mut LoopbackEndpoint) {
+        self.shared
+            .lock()
+            .expect("chaos state poisoned")
+            .release(now, via)
+            .expect("loopback send cannot fail");
+    }
+
+    fn next_release(&self) -> Option<Time> {
+        let st = self.shared.lock().expect("chaos state poisoned");
+        st.held.iter().map(|h| h.due).min()
+    }
+}
+
 /// A live cluster running one [`FaultPlan`]: coordinator + N participants
 /// over a lossless loopback, every endpoint wrapped in a
 /// [`ChaosTransport`], stepped under virtual time with per-node drift.
 pub struct ChaosCluster {
-    plan: FaultPlan,
-    net: LoopbackNet,
     shared: Arc<Mutex<ChaosNet>>,
-    nodes: Vec<Option<NodeRuntime<ChaosTransport<LoopbackEndpoint>>>>,
-    injector: LoopbackEndpoint,
-    clock: VirtualClock,
-    /// Per-pid local clock (identity skew unless the plan drifts it).
-    local: Vec<SkewedClock<VirtualClock>>,
-    start_at: Vec<Time>,
-    injections: Vec<(Time, Pid, Command)>,
-    now: Time,
-    statuses: Vec<Option<(Status, bool)>>,
-    crashes: Vec<(Pid, Time)>,
-    nv_inactivations: Vec<(Pid, Time)>,
-    leaves: Vec<(Pid, Time)>,
-    revives: Vec<(Pid, Time)>,
-    /// Revived participants not yet fully re-converged:
-    /// `(pid, epoch, revived_at, detected_at)`.
-    pending_reconv: Vec<(Pid, u8, Time, Option<Time>)>,
-    reconv_detects: Vec<(Pid, Time)>,
-    reconv_stables: Vec<(Pid, Time)>,
-    all_inactive_at: Option<Time>,
-    /// Event tap attached to every node (including late joiners) and to
-    /// the pipeline's drop site.
-    tap: Option<SharedTap>,
+    cluster: LoopbackCluster<Chaos>,
 }
 
 impl ChaosCluster {
@@ -231,54 +275,33 @@ impl ChaosCluster {
         let mut local: Vec<SkewedClock<VirtualClock>> = (0..=n)
             .map(|_| SkewedClock::new(clock.clone(), 0, 1, 1))
             .collect();
-        let mut start_at = vec![0; n];
-        let mut injections = Vec::new();
+        for fault in &plan.faults {
+            if let FaultSpec::Drift {
+                pid,
+                offset,
+                num,
+                den,
+            } = *fault
+            {
+                local[pid] = SkewedClock::new(clock.clone(), offset, num, den);
+            }
+        }
+        let harness = Chaos {
+            proto: plan.proto,
+            shared: Arc::clone(&shared),
+            clock: clock.clone(),
+        };
+        let mut cluster = LoopbackCluster::with_harness(harness, net, clock, local);
         for fault in &plan.faults {
             match *fault {
-                FaultSpec::Drift {
-                    pid,
-                    offset,
-                    num,
-                    den,
-                } => local[pid] = SkewedClock::new(clock.clone(), offset, num, den),
-                FaultSpec::Crash { pid, at } => injections.push((at, pid, Command::Crash)),
-                FaultSpec::Leave { pid, at } => injections.push((at, pid, Command::Leave)),
-                FaultSpec::Revive { pid, at } => injections.push((at, pid, Command::Revive)),
-                FaultSpec::Start { pid, at } => start_at[pid - 1] = at,
+                FaultSpec::Crash { pid, at } => cluster.schedule_crash(pid, at),
+                FaultSpec::Leave { pid, at } => cluster.schedule_leave(pid, at),
+                FaultSpec::Revive { pid, at } => cluster.schedule_revive(pid, at),
+                FaultSpec::Start { pid, at } => cluster.schedule_start(pid, at),
                 _ => {}
             }
         }
-        let coord_spec = CoordSpec::new(plan.proto.variant, plan.proto.params, n, plan.proto.fix);
-        let coord = NodeRuntime::coordinator(
-            coord_spec,
-            ChaosTransport::new(net.endpoint(0), Arc::clone(&shared)),
-        );
-        let mut nodes: Vec<Option<NodeRuntime<ChaosTransport<LoopbackEndpoint>>>> =
-            vec![Some(coord)];
-        nodes.extend((0..n).map(|_| None));
-        let injector = net.endpoint(n + 1);
-        ChaosCluster {
-            net,
-            shared,
-            nodes,
-            injector,
-            clock,
-            local,
-            start_at,
-            injections,
-            now: 0,
-            statuses: vec![None; n + 1],
-            crashes: Vec::new(),
-            nv_inactivations: Vec::new(),
-            leaves: Vec::new(),
-            revives: Vec::new(),
-            pending_reconv: Vec::new(),
-            reconv_detects: Vec::new(),
-            reconv_stables: Vec::new(),
-            all_inactive_at: None,
-            tap: None,
-            plan,
-        }
+        ChaosCluster { shared, cluster }
     }
 
     /// Attach a live event tap — e.g. a streaming requirement monitor
@@ -287,199 +310,48 @@ impl ChaosCluster {
     /// the tap sees the same event stream the simulator would emit:
     /// sends, deliveries, lifecycle transitions, and losses.
     pub fn attach_monitor(&mut self, tap: SharedTap) {
-        for node in self.nodes.iter_mut().flatten() {
-            node.attach_tap(tap.clone());
-        }
         self.shared.lock().expect("chaos state poisoned").tap = Some(tap.clone());
-        self.tap = Some(tap);
+        self.cluster.attach_tap(tap);
     }
 
     /// Current true tick.
     pub fn now(&self) -> Time {
-        self.now
+        self.cluster.now()
     }
 
     /// Whether the coordinator and every started, not-left participant
     /// are inactive.
     pub fn all_inactive(&self) -> bool {
-        let coord_inactive = self.nodes[0]
-            .as_ref()
-            .is_some_and(|c| c.status().is_inactive());
-        coord_inactive
-            && self.nodes[1..]
-                .iter()
-                .flatten()
-                .all(|p| p.status().is_inactive() || p.left())
+        self.cluster.all_inactive()
     }
 
     /// Advance by one true tick: start late joiners, deliver due control
-    /// injections, then drain every node at its own (possibly drifted)
-    /// local tick until the network is quiet.
+    /// injections, release held frames, then let every node with a frame
+    /// or a deadline due act at its own (possibly drifted) local tick
+    /// until the network is quiet.
     pub fn step(&mut self) {
-        let now = self.now;
-        self.shared.lock().expect("chaos state poisoned").true_now = Some(now);
-        for i in 0..self.plan.proto.n {
-            if self.nodes[i + 1].is_none() && self.start_at[i] == now {
-                self.net.purge(i + 1);
-                let spec = RespSpec::new(
-                    self.plan.proto.variant,
-                    self.plan.proto.params,
-                    self.plan.proto.fix,
-                );
-                let transport =
-                    ChaosTransport::new(self.net.endpoint(i + 1), Arc::clone(&self.shared));
-                let mut node = NodeRuntime::participant(i + 1, spec, transport)
-                    .started_at(self.local[i + 1].now());
-                if let Some(tap) = &self.tap {
-                    node.attach_tap(tap.clone());
-                }
-                self.nodes[i + 1] = Some(node);
-            }
-        }
-        let src = self.plan.proto.n + 1;
-        let mut pending = std::mem::take(&mut self.injections);
-        pending.retain(|&(t, pid, cmd)| {
-            if t != now {
-                return true;
-            }
-            self.injector
-                .send(now, pid, &Frame::control(src, cmd), 0)
-                .expect("loopback send cannot fail");
-            false
-        });
-        self.injections = pending;
-
-        loop {
-            for (pid, node) in self.nodes.iter_mut().enumerate() {
-                if let Some(node) = node {
-                    node.poll(self.local[pid].now())
-                        .expect("loopback polling cannot fail");
-                }
-            }
-            let held_due = {
-                let st = self.shared.lock().expect("chaos state poisoned");
-                st.held.iter().any(|h| h.due <= now)
-            };
-            if !self.net.any_deliverable(now) && !held_due {
-                break;
-            }
-        }
-
-        self.observe(now);
-        if self.all_inactive_at.is_none() && self.all_inactive() {
-            self.all_inactive_at = Some(now);
-        }
-        self.clock.advance(1);
-        self.now += 1;
-    }
-
-    /// Record status transitions at true time and resolve pending
-    /// re-convergences.
-    fn observe(&mut self, now: Time) {
-        for (pid, node) in self.nodes.iter().enumerate() {
-            let Some(node) = node else { continue };
-            let cur = (node.status(), node.left());
-            let prev = self.statuses[pid];
-            if prev.map(|(s, _)| s) != Some(cur.0) {
-                match cur.0 {
-                    Status::Crashed => self.crashes.push((pid, now)),
-                    Status::NvInactive => self.nv_inactivations.push((pid, now)),
-                    Status::Active => {
-                        // Crashed -> Active is only reachable via revive.
-                        if prev.map(|(s, _)| s) == Some(Status::Crashed) {
-                            self.revives.push((pid, now));
-                            self.pending_reconv.push((pid, node.epoch(), now, None));
-                            self.all_inactive_at = None;
-                        }
-                    }
-                }
-            }
-            if prev.map(|(_, l)| l) != Some(cur.1) && cur.1 {
-                self.leaves.push((pid, now));
-            }
-            self.statuses[pid] = Some(cur);
-        }
-        let mut i = 0;
-        while i < self.pending_reconv.len() {
-            let (pid, epoch, t0, detected) = self.pending_reconv[i];
-            let mut detected = detected;
-            if detected.is_none()
-                && self.nodes[0].as_ref().is_some_and(|coord| {
-                    coord
-                        .registered_epoch(pid)
-                        .is_some_and(|bar| hb_core::serial::serial_ge(bar, epoch))
-                })
-            {
-                detected = Some(now);
-                self.reconv_detects.push((pid, now - t0));
-            }
-            let stable = detected.is_some()
-                && self.nodes[pid].as_ref().is_some_and(|n| {
-                    n.status() == Status::Active && n.joined() && n.epoch() == epoch
-                });
-            if stable {
-                self.reconv_stables.push((pid, now - t0));
-                self.pending_reconv.remove(i);
-            } else {
-                self.pending_reconv[i].3 = detected;
-                i += 1;
-            }
-        }
-    }
-
-    fn revives_pending(&self) -> bool {
-        self.injections
-            .iter()
-            .any(|&(t, _, cmd)| cmd == Command::Revive && t >= self.now)
+        self.cluster.step();
     }
 
     /// Run until true tick `t` or until everything is inactive (a pending
-    /// revive keeps the run alive — a crashed node is coming back).
+    /// revive keeps the run alive — a crashed node is coming back),
+    /// jumping over ticks at which nothing can happen.
     pub fn run_until(&mut self, t: Time) {
-        while self.now < t && (!self.all_inactive() || self.revives_pending()) {
-            self.step();
-        }
+        self.cluster.run_until(t);
     }
 
     /// Finish the run and produce the shared summary (`source: "live"`).
     pub fn into_summary(self) -> RunSummary {
-        let st = self.shared.lock().expect("chaos state poisoned");
-        let first_crash = self.crashes.iter().map(|&(_, t)| t).min();
-        let detection_delay = match (first_crash, self.all_inactive_at) {
-            (Some(c), Some(d)) => Some(d.saturating_sub(c)),
-            _ => None,
+        let net = self.cluster.net().stats();
+        let messages = {
+            let st = self.shared.lock().expect("chaos state poisoned");
+            NetStats {
+                sent: st.sent,
+                delivered: net.delivered,
+                lost: st.lost + net.lost,
+            }
         };
-        let false_inactivations = if self.crashes.is_empty() {
-            self.nv_inactivations.len() as u32
-        } else {
-            0
-        };
-        let final_status: Vec<Status> = self
-            .nodes
-            .iter()
-            .map(|n| n.as_ref().map_or(Status::Active, |n| n.status()))
-            .collect();
-        let (stale_admitted, stale_filtered) =
-            self.nodes[0].as_ref().map_or((0, 0), |c| c.stale_beats());
-        RunSummary {
-            source: "live",
-            duration: self.now,
-            messages_sent: st.sent,
-            messages_delivered: self.net.stats().delivered,
-            messages_lost: st.lost + self.net.stats().lost,
-            crashes: self.crashes,
-            nv_inactivations: self.nv_inactivations,
-            leaves: self.leaves,
-            revives: self.revives,
-            reconv_detect: self.reconv_detects.iter().map(|&(_, d)| d).max(),
-            reconv_stable: self.reconv_stables.iter().map(|&(_, d)| d).max(),
-            stale_beats_admitted: stale_admitted,
-            stale_beats_filtered: stale_filtered,
-            detection_delay,
-            false_inactivations,
-            monitor: None,
-            final_status,
-        }
+        self.cluster.into_summary(messages).0
     }
 }
 

@@ -1,12 +1,41 @@
-//! A deterministically steppable cluster: coordinator + N participants
+//! Deterministically steppable clusters: coordinator + N participants
 //! over loopback, under virtual time.
 //!
-//! [`VirtualCluster`] wires [`NodeRuntime`]s together over a
-//! [`LoopbackNet`] and advances them tick by tick, with scheduled crash /
-//! leave injection delivered over the control channel — the live
-//! counterpart of [`hb_sim::World`], producing the same
-//! [`RunSummary`](hb_sim::schema::RunSummary) schema so runs from the two
-//! substrates can be compared directly.
+//! [`LoopbackCluster`] wires [`NodeRuntime`]s together over a
+//! [`LoopbackNet`] and advances them under a [`VirtualClock`], with late
+//! starts and scheduled crash / leave / revive injection delivered over
+//! the control channel — the live counterpart of [`hb_sim::World`],
+//! producing the same [`RunSummary`] schema so runs from the two
+//! substrates can be compared directly. What differs between harnesses
+//! (the transport the nodes run over, frames a fault layer holds back)
+//! is a [`Harness`]: [`VirtualCluster`] is the plain one, and `hb-chaos`'s
+//! `ChaosCluster` the fault-injecting one.
+//!
+//! # Event-driven stepping
+//!
+//! Heartbeats are periodic: between rounds nobody acts. The cluster
+//! steps by events, not ticks. Within a tick it visits the nodes in pid
+//! order, in passes until no frame is deliverable, but polls a node only
+//! if, at its turn, a frame is deliverable to it at true `now` or its
+//! [`next_deadline`](NodeRuntime::next_deadline) is at or before its
+//! local tick. [`run_until`](LoopbackCluster::run_until) jumps straight
+//! to the next tick at which anything can happen: an injection or late
+//! start, a queued delivery, a held frame's release, or a node deadline
+//! mapped back to true time. Three rules keep the event streams
+//! byte-identical to polling every node on every tick:
+//!
+//! * **Catch-up.** A skipped node is advanced without draining: to its
+//!   local tick for `now − 1` before the first poll of a tick, to its
+//!   local tick for `now` before a poll in a later pass. A polled node
+//!   therefore first drains, at its previous local tick, the frames
+//!   deliverable at true `now` — the live runtime's one tick of phase
+//!   against the simulator.
+//! * **Held frames.** A harness holding frames back releases them once,
+//!   at the start of the tick, before any node acts
+//!   ([`Harness::release`]).
+//! * **Receive path.** A transport that needs true time reads it from
+//!   the cluster's [`VirtualClock`], which the cluster advances, rather
+//!   than from shared state behind a lock.
 
 use hb_core::coordinator::CoordSpec;
 use hb_core::responder::RespSpec;
@@ -14,9 +43,9 @@ use hb_core::{FixLevel, Params, Pid, Status, Variant};
 use hb_sim::schema::RunSummary;
 
 use crate::events::{EventSink, SharedTap};
-use crate::loopback::{Faults, LoopbackEndpoint, LoopbackNet};
+use crate::loopback::{Faults, LoopbackEndpoint, LoopbackNet, NetStats};
 use crate::node::{NodeReport, NodeRuntime};
-use crate::time::Time;
+use crate::time::{SkewedClock, Time, VirtualClock};
 use crate::transport::Transport;
 use crate::wire::{Command, Frame};
 
@@ -49,15 +78,87 @@ pub struct LiveReport {
     pub nodes: Vec<NodeReport>,
 }
 
-/// A stepping live cluster under virtual time.
-pub struct VirtualCluster {
+/// What a harness adds to the shared stepping loop of a
+/// [`LoopbackCluster`].
+pub trait Harness {
+    /// The transport every node runs over.
+    type Transport: Transport;
+
+    /// The coordinator's runtime over `endpoint`.
+    fn coordinator(&mut self, endpoint: LoopbackEndpoint) -> NodeRuntime<Self::Transport>;
+
+    /// Participant `pid`'s runtime over `endpoint`; the cluster sets its
+    /// start tick and attaches its tap.
+    fn participant(&mut self, pid: Pid, endpoint: LoopbackEndpoint)
+        -> NodeRuntime<Self::Transport>;
+
+    /// Release the frames held back until true tick `now` into the
+    /// network through `via`. Called once per tick, after late starts
+    /// and injections, before any node acts.
+    fn release(&mut self, _now: Time, _via: &mut LoopbackEndpoint) {}
+
+    /// The earliest tick at which [`release`](Self::release) has a frame
+    /// to release.
+    fn next_release(&self) -> Option<Time> {
+        None
+    }
+}
+
+/// The plain harness: nodes talk straight over the loopback, whose own
+/// loss model is the only fault.
+#[derive(Debug)]
+pub struct Plain {
     cfg: ClusterConfig,
+}
+
+impl Harness for Plain {
+    type Transport = LoopbackEndpoint;
+
+    fn coordinator(&mut self, endpoint: LoopbackEndpoint) -> NodeRuntime<LoopbackEndpoint> {
+        let cfg = &self.cfg;
+        let spec = CoordSpec::new(cfg.variant, cfg.params, cfg.n, cfg.fix);
+        self.recorded(NodeRuntime::coordinator(spec, endpoint))
+    }
+
+    fn participant(
+        &mut self,
+        pid: Pid,
+        endpoint: LoopbackEndpoint,
+    ) -> NodeRuntime<LoopbackEndpoint> {
+        let spec = RespSpec::new(self.cfg.variant, self.cfg.params, self.cfg.fix);
+        self.recorded(NodeRuntime::participant(pid, spec, endpoint))
+    }
+}
+
+impl Plain {
+    fn recorded(&self, node: NodeRuntime<LoopbackEndpoint>) -> NodeRuntime<LoopbackEndpoint> {
+        if self.cfg.record_events {
+            node.with_sink(EventSink::memory())
+        } else {
+            node
+        }
+    }
+}
+
+/// A stepping live cluster over a plain lossy loopback.
+pub type VirtualCluster = LoopbackCluster<Plain>;
+
+/// A coordinator and N participants over one loopback network, stepped
+/// under virtual time by events (see the module docs).
+pub struct LoopbackCluster<H: Harness> {
+    harness: H,
     net: LoopbackNet,
     /// `nodes[0]` is the coordinator; `nodes[i]` participant `i` (absent
     /// until its start time).
-    nodes: Vec<Option<NodeRuntime<LoopbackEndpoint>>>,
+    nodes: Vec<Option<NodeRuntime<H::Transport>>>,
     injector: LoopbackEndpoint,
+    /// True time.
+    clock: VirtualClock,
+    /// Per-pid local clock (an identity skew unless the pid drifts).
+    local: Vec<SkewedClock<VirtualClock>>,
     start_at: Vec<Time>,
+    /// Control commands `(tick, pid, command)`; one for a participant
+    /// that has not started yet waits for its start.
     injections: Vec<(Time, Pid, Command)>,
     now: Time,
     statuses: Vec<Option<(Status, bool)>>,
@@ -78,27 +179,59 @@ pub struct VirtualCluster {
     tap: Option<SharedTap>,
 }
 
-impl VirtualCluster {
+impl LoopbackCluster<Plain> {
     /// Build a cluster; nothing runs until [`step`](Self::step).
     pub fn new(cfg: ClusterConfig) -> Self {
-        // endpoints: 0..=n for the nodes, n+1 for the out-of-band injector
+        let clock = VirtualClock::new();
+        let local = (0..=cfg.n)
+            .map(|_| SkewedClock::new(clock.clone(), 0, 1, 1))
+            .collect();
         let net = LoopbackNet::new(cfg.n + 2, cfg.faults, cfg.seed);
-        let coord_spec = CoordSpec::new(cfg.variant, cfg.params, cfg.n, cfg.fix);
-        let mut coord = NodeRuntime::coordinator(coord_spec, net.endpoint(0));
-        if cfg.record_events {
-            coord = coord.with_sink(EventSink::memory());
+        LoopbackCluster::with_harness(Plain { cfg }, net, clock, local)
+    }
+
+    /// Finish the run and produce the report.
+    pub fn into_report(self) -> LiveReport {
+        let stats = self.net.stats();
+        let (summary, nodes) = self.into_summary(stats);
+        LiveReport {
+            summary,
+            nodes: nodes.into_iter().map(NodeRuntime::finish).collect(),
         }
-        let mut nodes: Vec<Option<NodeRuntime<LoopbackEndpoint>>> = vec![Some(coord)];
-        nodes.extend((0..cfg.n).map(|_| None));
-        let injector = net.endpoint(cfg.n + 1);
-        VirtualCluster {
+    }
+}
+
+impl<H: Harness> LoopbackCluster<H> {
+    /// A cluster of `local.len() − 1` participants over `net`, whose
+    /// endpoints `0..=n` are the nodes' and `n + 1` the control
+    /// injector's. `clock` is true time, which the cluster advances;
+    /// `local[pid]` is pid's own reading of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `local` is empty or `net` has fewer than `n + 2`
+    /// endpoints.
+    pub fn with_harness(
+        mut harness: H,
+        net: LoopbackNet,
+        clock: VirtualClock,
+        local: Vec<SkewedClock<VirtualClock>>,
+    ) -> Self {
+        let n = local.len().checked_sub(1).expect("a clock per node");
+        let mut nodes = vec![Some(harness.coordinator(net.endpoint(0)))];
+        nodes.extend((0..n).map(|_| None));
+        let injector = net.endpoint(n + 1);
+        LoopbackCluster {
+            harness,
             net,
             nodes,
             injector,
-            start_at: vec![0; cfg.n],
+            clock,
+            local,
+            start_at: vec![0; n],
             injections: Vec::new(),
             now: 0,
-            statuses: vec![None; cfg.n + 1],
+            statuses: vec![None; n + 1],
             crashes: Vec::new(),
             nv_inactivations: Vec::new(),
             leaves: Vec::new(),
@@ -108,8 +241,21 @@ impl VirtualCluster {
             reconv_stables: Vec::new(),
             all_inactive_at: None,
             tap: None,
-            cfg,
         }
+    }
+
+    /// The loopback network.
+    pub fn net(&self) -> &LoopbackNet {
+        &self.net
+    }
+
+    fn n(&self) -> usize {
+        self.nodes.len() - 1
+    }
+
+    /// Whether `pid` names a node that has started.
+    fn started(&self, pid: Pid) -> bool {
+        self.nodes.get(pid).is_some_and(Option::is_some)
     }
 
     /// Attach a live [`EventTap`](crate::events::EventTap) — e.g. a
@@ -125,20 +271,20 @@ impl VirtualCluster {
 
     /// Crash `pid` at tick `t` (delivered as a control frame).
     pub fn schedule_crash(&mut self, pid: Pid, t: Time) {
-        assert!(pid <= self.cfg.n, "pid {pid} out of range");
+        assert!(pid <= self.n(), "pid {pid} out of range");
         self.injections.push((t, pid, Command::Crash));
     }
 
     /// Make participant `pid` leave at the first beat at or after `t`.
     pub fn schedule_leave(&mut self, pid: Pid, t: Time) {
-        assert!((1..=self.cfg.n).contains(&pid), "pid {pid} out of range");
+        assert!((1..=self.n()).contains(&pid), "pid {pid} out of range");
         self.injections.push((t, pid, Command::Leave));
     }
 
     /// Revive participant `pid` at tick `t` (§7 rejoin): a crashed node
     /// restarts with a fresh epoch; a live node ignores the command.
     pub fn schedule_revive(&mut self, pid: Pid, t: Time) {
-        assert!((1..=self.cfg.n).contains(&pid), "pid {pid} out of range");
+        assert!((1..=self.n()).contains(&pid), "pid {pid} out of range");
         self.injections.push((t, pid, Command::Revive));
     }
 
@@ -154,12 +300,12 @@ impl VirtualCluster {
     ///
     /// Panics if the run has begun or `pid` is out of range.
     pub fn schedule_start(&mut self, pid: Pid, t: Time) {
-        assert!((1..=self.cfg.n).contains(&pid), "pid {pid} out of range");
+        assert!((1..=self.n()).contains(&pid), "pid {pid} out of range");
         assert_eq!(self.now, 0, "starts must be scheduled before running");
         self.start_at[pid - 1] = t;
     }
 
-    /// Current tick.
+    /// Current true tick.
     pub fn now(&self) -> Time {
         self.now
     }
@@ -178,53 +324,104 @@ impl VirtualCluster {
     }
 
     /// Advance the cluster by one tick: start late joiners, deliver due
-    /// injections, drain every node (and every zero-delay reply chain)
-    /// at the current tick, then move time forward.
+    /// injections, release held frames, let every node with a frame or a
+    /// deadline due act (and every zero-delay reply chain settle), then
+    /// move time forward.
     pub fn step(&mut self) {
         let now = self.now;
-        for i in 0..self.cfg.n {
-            if self.nodes[i + 1].is_none() && self.start_at[i] == now {
+        for pid in 1..self.nodes.len() {
+            if self.nodes[pid].is_none() && self.start_at[pid - 1] == now {
                 // Frames sent before a node exists vanish, as in the sim.
-                self.net.purge(i + 1);
-                let spec = RespSpec::new(self.cfg.variant, self.cfg.params, self.cfg.fix);
-                let mut node =
-                    NodeRuntime::participant(i + 1, spec, self.net.endpoint(i + 1)).started_at(now);
-                if self.cfg.record_events {
-                    node = node.with_sink(EventSink::memory());
-                }
+                self.net.purge(pid);
+                let mut node = self
+                    .harness
+                    .participant(pid, self.net.endpoint(pid))
+                    .started_at(self.local[pid].map(now));
                 if let Some(tap) = &self.tap {
                     node.attach_tap(tap.clone());
                 }
-                self.nodes[i + 1] = Some(node);
+                self.nodes[pid] = Some(node);
             }
         }
-        let src = self.cfg.n + 1;
-        let mut pending = std::mem::take(&mut self.injections);
-        pending.retain(|&(t, pid, cmd)| {
-            if t != now {
+        let src = self.nodes.len();
+        let (nodes, injector) = (&self.nodes, &mut self.injector);
+        self.injections.retain(|&(t, pid, cmd)| {
+            if t > now || nodes[pid].is_none() {
                 return true;
             }
-            self.injector
+            injector
                 .send(now, pid, &Frame::control(src, cmd), 0)
                 .expect("loopback send cannot fail");
             false
         });
-        self.injections = pending;
-
-        loop {
-            for node in self.nodes.iter_mut().flatten() {
-                node.poll(now).expect("loopback polling cannot fail");
-            }
-            if !self.net.any_deliverable(now) {
-                break;
-            }
-        }
+        self.harness.release(now, &mut self.injector);
+        self.settle(now);
 
         self.observe(now);
         if self.all_inactive_at.is_none() && self.all_inactive() {
             self.all_inactive_at = Some(now);
         }
-        self.now += 1;
+        self.advance(1);
+    }
+
+    /// Poll, in pid order and in passes until nothing is deliverable,
+    /// every node with a frame or a deadline due at `now`.
+    fn settle(&mut self, now: Time) {
+        let mut first_pass = true;
+        loop {
+            for (pid, slot) in self.nodes.iter_mut().enumerate() {
+                let Some(node) = slot else { continue };
+                let clock = &self.local[pid];
+                let local_now = clock.map(now);
+                let due = node.next_deadline().is_some_and(|d| d <= local_now);
+                if !due && !self.net.deliverable_to(pid, now) {
+                    continue;
+                }
+                if !first_pass {
+                    node.advance_to(local_now);
+                } else if let Some(before) = now.checked_sub(1) {
+                    node.advance_to(clock.map(before));
+                }
+                node.poll(local_now).expect("loopback polling cannot fail");
+            }
+            first_pass = false;
+            let next = self.net.next_delivery(|pid| self.started(pid));
+            if next.is_none_or(|t| t > now) {
+                return;
+            }
+        }
+    }
+
+    fn advance(&mut self, ticks: Time) {
+        self.clock.advance(ticks);
+        self.now += ticks;
+    }
+
+    /// The earliest tick at which anything can happen: an injection or
+    /// late start, a queued delivery, a held frame's release, or a node
+    /// deadline.
+    fn next_event(&self) -> Option<Time> {
+        let now = self.now;
+        let injection = self
+            .injections
+            .iter()
+            .map(|&(t, ..)| t)
+            .filter(|&t| t >= now);
+        let start = (1..self.nodes.len())
+            .filter(|&pid| !self.started(pid))
+            .map(|pid| self.start_at[pid - 1])
+            .filter(|&t| t >= now);
+        let deadline = self.nodes.iter().enumerate().filter_map(|(pid, node)| {
+            let d = node.as_ref()?.next_deadline()?;
+            Some(self.local[pid].unmap(d))
+        });
+        let delivery = self.net.next_delivery(|pid| self.started(pid));
+        injection
+            .chain(start)
+            .chain(deadline)
+            .chain(delivery)
+            .chain(self.harness.next_release())
+            .min()
     }
 
     /// Record status transitions (crash / nv-inactivation / leave /
@@ -283,15 +480,28 @@ impl VirtualCluster {
 
     /// Run until tick `t` or until everything is inactive (a pending
     /// revive keeps the run alive — a crashed node is coming back).
+    /// Idle ticks are jumped, never past `t` and never on the step that
+    /// ends the run, so the run's duration is that of stepping tick by
+    /// tick.
     pub fn run_until(&mut self, t: Time) {
-        while self.now < t && (!self.all_inactive() || self.revives_pending()) {
+        while self.running(t) {
             self.step();
+            if self.running(t) {
+                let next = self.next_event().map_or(t, |e| e.min(t));
+                if next > self.now {
+                    self.advance(next - self.now);
+                }
+            }
         }
     }
 
-    /// Finish the run and produce the report.
-    pub fn into_report(self) -> LiveReport {
-        let stats = self.net.stats();
+    fn running(&self, t: Time) -> bool {
+        self.now < t && (!self.all_inactive() || self.revives_pending())
+    }
+
+    /// Finish the run: the summary, with `messages` as its message
+    /// counters, and the nodes that ran.
+    pub fn into_summary(self, messages: NetStats) -> (RunSummary, Vec<NodeRuntime<H::Transport>>) {
         let first_crash = self.crashes.iter().map(|&(_, t)| t).min();
         let detection_delay = match (first_crash, self.all_inactive_at) {
             (Some(c), Some(d)) => Some(d.saturating_sub(c)),
@@ -312,9 +522,9 @@ impl VirtualCluster {
         let summary = RunSummary {
             source: "live",
             duration: self.now,
-            messages_sent: stats.sent,
-            messages_delivered: stats.delivered,
-            messages_lost: stats.lost,
+            messages_sent: messages.sent,
+            messages_delivered: messages.delivered,
+            messages_lost: messages.lost,
             crashes: self.crashes,
             nv_inactivations: self.nv_inactivations,
             leaves: self.leaves,
@@ -328,13 +538,7 @@ impl VirtualCluster {
             monitor: None,
             final_status,
         };
-        let nodes = self
-            .nodes
-            .into_iter()
-            .flatten()
-            .map(NodeRuntime::finish)
-            .collect();
-        LiveReport { summary, nodes }
+        (summary, self.nodes.into_iter().flatten().collect())
     }
 }
 

@@ -21,11 +21,12 @@
 //!   a simultaneous timeout, Atif & Mousavi §6.1);
 //! * [`events`] — per-node counters and the shared sim/live JSON-lines
 //!   event schema;
-//! * [`cluster`] — [`VirtualCluster`](cluster::VirtualCluster), a
+//! * [`cluster`] — [`LoopbackCluster`](cluster::LoopbackCluster), a
 //!   deterministically steppable coordinator + N participants harness over
-//!   loopback producing the same
+//!   loopback, stepped by events rather than ticks, producing the same
 //!   [`RunSummary`](hb_sim::schema::RunSummary) as the simulator, for
-//!   direct live-vs-sim cross-validation.
+//!   direct live-vs-sim cross-validation;
+//!   [`VirtualCluster`](cluster::VirtualCluster) is its plain instance.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +40,7 @@ pub mod transport;
 pub mod udp;
 pub mod wire;
 
-pub use cluster::{ClusterConfig, LiveReport, VirtualCluster};
+pub use cluster::{ClusterConfig, Harness, LiveReport, LoopbackCluster, Plain, VirtualCluster};
 pub use events::{Counters, EventSink, EventTap, SharedTap};
 pub use loopback::{Faults, LoopbackEndpoint, LoopbackNet, NetStats};
 pub use node::{NodeReport, NodeRuntime};

@@ -163,6 +163,24 @@ impl LoopbackNet {
             .any(|q| q.iter().any(|m| m.deliver_at <= now))
     }
 
+    /// Whether a frame is deliverable to `pid` at `now`.
+    pub fn deliverable_to(&self, pid: Pid, now: Time) -> bool {
+        let st = self.inner.state.lock().unwrap();
+        st.queues[pid].iter().any(|m| m.deliver_at <= now)
+    }
+
+    /// The earliest tick at which a frame queued for a pid that
+    /// `include` accepts becomes deliverable.
+    pub fn next_delivery(&self, include: impl Fn(Pid) -> bool) -> Option<Time> {
+        let st = self.inner.state.lock().unwrap();
+        st.queues
+            .iter()
+            .enumerate()
+            .filter(|&(pid, _)| include(pid))
+            .flat_map(|(_, q)| q.iter().map(|m| m.deliver_at))
+            .min()
+    }
+
     /// Message counters so far.
     pub fn stats(&self) -> NetStats {
         self.inner.state.lock().unwrap().stats

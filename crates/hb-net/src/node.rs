@@ -243,12 +243,28 @@ impl<T: Transport> NodeRuntime<T> {
             if self.local_now >= now {
                 return Ok(());
             }
-            match &mut self.role {
-                Role::Coordinator { spec, state } => spec.tick(state),
-                Role::Participant { spec, state, .. } => spec.tick(state),
-            }
-            self.local_now += 1;
+            self.tick();
         }
+    }
+
+    /// Advance the machine's clocks to tick `t` without touching the
+    /// transport: the catch-up of a node that had nothing due on the
+    /// way. Equivalent to [`poll`](Self::poll) only while no frame is
+    /// deliverable and no deadline ([`next_deadline`](Self::next_deadline))
+    /// falls before `t`.
+    pub(crate) fn advance_to(&mut self, t: Time) {
+        while self.local_now < t {
+            self.tick();
+        }
+    }
+
+    /// Advance the machine's clocks by one tick.
+    fn tick(&mut self) {
+        match &mut self.role {
+            Role::Coordinator { spec, state } => spec.tick(state),
+            Role::Participant { spec, state, .. } => spec.tick(state),
+        }
+        self.local_now += 1;
     }
 
     /// Process every event due at the current tick until quiescent.

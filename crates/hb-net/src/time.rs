@@ -102,7 +102,7 @@ impl<C: TimeSource> SkewedClock<C> {
 
     /// The true tick at which this clock first reads `local` or more
     /// (saturating; used to translate local deadlines back to true time).
-    fn unmap(&self, local: Time) -> Time {
+    pub fn unmap(&self, local: Time) -> Time {
         if local <= self.offset {
             return 0;
         }

@@ -55,10 +55,11 @@ echo "==> mck scale smoke (reduction stacks agree; packed store round-trips)"
 # sym, sym+por, sym+por+packed) reports the same verdict.
 cargo bench -p bench --bench mck_states -- --smoke "$tmpdir/mck_smoke.json" >/dev/null
 
-echo "==> benchmark correctness smoke (checker workloads; no perf assertion)"
-# A one-second run of each checker workload: every operation is checked
+echo "==> benchmark correctness smoke (campaign and checker workloads; no perf assertion)"
+# A one-second run of each workload: every campaign plan run is checked
+# against its detection bound and monitor, every checker operation
 # against scale_cell, and the result line must say so.
-for w in mck_hashed mck_packed; do
+for w in campaign_sim campaign_loopback mck_hashed mck_packed; do
   line="$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)" || true
   python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' "$line" \
     || { echo "perfbench $w failed: $line" >&2; exit 1; }

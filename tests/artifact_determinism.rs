@@ -5,9 +5,10 @@
 //! serialization shows up here as a byte diff, not as a silent drift
 //! the campaign differ later has to explain.
 //!
-//! Only the sim-backend artifacts are pinned here (fast, thread-free);
-//! `scripts/ci.sh` re-derives the live counterparts through the
-//! emitter, which gates them the same way.
+//! Both backends are pinned: the live artifacts come from the loopback
+//! clusters under virtual time, so they are as deterministic as the
+//! simulator's, and any change to the clusters' stepping loop that moves
+//! an event shows up here too.
 
 use accelerated_heartbeat::chaos::{
     run_campaign, run_failover_campaign, run_rejoin_demo, Backend, CampaignSpec,
@@ -34,6 +35,16 @@ fn rejoin_sim_artifact_is_byte_identical() {
 }
 
 #[test]
+fn rejoin_live_artifact_is_byte_identical() {
+    let demo = run_rejoin_demo(Backend::Live, REJOIN_SEED);
+    assert_eq!(
+        format!("{}\n", demo.to_json()),
+        checked_in("rejoin_live.json"),
+        "rejoin_live.json drifted from the checked-in golden"
+    );
+}
+
+#[test]
 fn failover_sim_artifact_is_byte_identical() {
     let report = run_failover_campaign(Backend::Sim);
     assert_eq!(
@@ -43,13 +54,23 @@ fn failover_sim_artifact_is_byte_identical() {
     );
 }
 
-/// The grid behind `artifacts/campaign_gm98_sim.json` (the
-/// `chaos_campaign` example's `full_spec` for the sim backend, with
-/// `--monitor` on — the configuration the artifact was emitted with).
-fn gm98_grid() -> CampaignSpec {
+#[test]
+fn failover_live_artifact_is_byte_identical() {
+    let report = run_failover_campaign(Backend::Live);
+    assert_eq!(
+        format!("{}\n", report.to_json()),
+        checked_in("failover_live.json"),
+        "failover_live.json drifted from the checked-in golden"
+    );
+}
+
+/// The grid behind `artifacts/campaign_gm98_{sim,live}.json` (the
+/// `chaos_campaign` example's `full_spec`, with `--monitor` on — the
+/// configuration the artifacts were emitted with).
+fn gm98_grid(backend: Backend) -> CampaignSpec {
     CampaignSpec {
         name: "gm98-grid".into(),
-        backend: Backend::Sim,
+        backend,
         variant: Variant::Binary,
         params: Params::new(2, 8).expect("valid"),
         n: 1,
@@ -71,10 +92,20 @@ fn gm98_grid() -> CampaignSpec {
 
 #[test]
 fn campaign_sim_artifact_is_byte_identical() {
-    let report = run_campaign(&gm98_grid());
+    let report = run_campaign(&gm98_grid(Backend::Sim));
     assert_eq!(
         format!("{}\n", report.to_json()),
         checked_in("campaign_gm98_sim.json"),
         "campaign_gm98_sim.json drifted from the checked-in golden"
+    );
+}
+
+#[test]
+fn campaign_live_artifact_is_byte_identical() {
+    let report = run_campaign(&gm98_grid(Backend::Live));
+    assert_eq!(
+        format!("{}\n", report.to_json()),
+        checked_in("campaign_gm98_live.json"),
+        "campaign_gm98_live.json drifted from the checked-in golden"
     );
 }
